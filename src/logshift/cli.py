@@ -228,7 +228,7 @@ def _run_verification(args, command: str, identities, characterization_level: bo
     if fmt == "csv":
         raise DomainError(f"{command} does not support csv output")
     if fmt == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.output)
     else:
         lines = [f"logshift {command} (seed={seed})"]
         if not characterization_level:
@@ -281,7 +281,10 @@ def _cmd_cf_table(args) -> int:
 
 def _load_data(path: str, column: str | None) -> np.ndarray:
     if column is None:
-        return np.loadtxt(path, dtype=float, ndmin=1)
+        try:
+            return np.loadtxt(path, dtype=float, ndmin=1)
+        except ValueError as exc:
+            raise DomainError(f"could not parse {path!r}: {exc}") from exc
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
@@ -338,7 +341,7 @@ def _cmd_gof(args) -> int:
     if fmt == "csv":
         raise DomainError("gof does not support csv output")
     if fmt == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.output)
     else:
         verdict = "reject" if payload["reject"] else "no rejection"
         _emit(result.summary() + f" -> {verdict} at alpha={args.alpha}", args.output)

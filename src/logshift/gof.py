@@ -125,6 +125,64 @@ class GofResult:
         )
 
 
+# Largest block size n whose k-th order statistic is taken by a
+# compare-exchange network. Beyond it np.partition is faster for middle k
+# (measured at N=10^4: the pruned network wins for every k up to n=8 and
+# loses at n=10, k=5).
+_NETWORK_MAX_N = 8
+
+
+def _batcher_pairs(n: int) -> list[tuple[int, int]]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort on n wires.
+
+    Wires at or beyond n are dropped, which is valid because they would
+    carry +inf and every comparator touching them is then a no-op.
+    """
+    pairs = []
+    p = 1
+    while p < n:
+        step = p
+        while step >= 1:
+            for j in range(step % p, n - step, 2 * step):
+                for i in range(min(step, n - j - step)):
+                    if (i + j) // (2 * p) == (i + j + step) // (2 * p):
+                        pairs.append((i + j, i + j + step))
+            step //= 2
+        p *= 2
+    return pairs
+
+
+def _selection_network(n: int, k: int) -> list[tuple[int, int, bool, bool]]:
+    """The sorting network for n wires pruned to what wire k-1 depends on.
+
+    Each step (i, j, lo, hi) sets wire i to min(i, j) when lo and wire j to
+    max(i, j) when hi. For (3, 2) this is min(max(a, b), max(min(a, b), c)).
+    """
+    needed = {k - 1}
+    steps = []
+    for i, j in reversed(_batcher_pairs(n)):
+        lo, hi = i in needed, j in needed
+        if lo or hi:
+            steps.append((i, j, lo, hi))
+            needed.update((i, j))
+    steps.reverse()
+    return steps
+
+
+def _block_order_statistics(work: np.ndarray, order: np.ndarray, k: int, network) -> np.ndarray:
+    """k-th smallest of work[order[b]] for every row b of the (blocks, n) index array."""
+    if network is None:
+        return np.partition(work[order], k - 1, axis=1)[:, k - 1]
+    wires = list(work[order.T])
+    for i, j, lo, hi in network:
+        a, b = wires[i], wires[j]
+        if lo:
+            wires[i] = np.minimum(a, b)
+        if hi:
+            wires[j] = np.maximum(a, b)
+    return wires[k - 1]
+
+
 def _reconstruction_statistic(
     data: np.ndarray, stream: RngStream, n: int, k: int, passes: int, center: bool
 ) -> float:
@@ -132,11 +190,12 @@ def _reconstruction_statistic(
     work = data - np.median(data) if center else data
     size = work.size
     blocks = size // n
+    network = _selection_network(n, k) if n <= _NETWORK_MAX_N else None
     recon = np.empty(passes * blocks)
     for p in range(passes):
         s = stream.substream(p)
         order = s.permutation(size)[: blocks * n].reshape(blocks, n)
-        base = np.partition(work[order], k - 1, axis=1)[:, k - 1]
+        base = _block_order_statistics(work, order, k, network)
         shift = np.zeros(blocks)
         for j in range(1, n - k + 1):
             shift += -np.log1p(-s.uniform_open(blocks)) / j

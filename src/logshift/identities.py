@@ -29,6 +29,7 @@ CFs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -472,12 +473,19 @@ def verify(identity: IdentitySpec, config: VerificationConfig | None = None) -> 
     config = config if config is not None else VerificationConfig()
     grid = config.t_grid()
     try:
-        diff = np.abs(identity.lhs.cf(grid) - identity.rhs.cf(grid))
+        # overflow far out on the grid shows up as a non-finite gap, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.abs(identity.lhs.cf(grid) - identity.rhs.cf(grid))
         cf_max_abs_diff: float | None = float(np.max(diff))
         exact_ok: bool | None = cf_max_abs_diff <= config.cf_threshold
     except UnsupportedParentError:
         cf_max_abs_diff = None
         exact_ok = None
+    if cf_max_abs_diff is not None and not math.isfinite(cf_max_abs_diff):
+        raise DomainError(
+            f"the exact CF gap is not finite on t in [{config.t_min:g}, {config.t_max:g}]; "
+            "narrow the t grid or check the parent's parameters"
+        )
 
     root = RngStream(config.seed)
     lhs_draws = identity.lhs.sample(root.substream(0), config.sample_size, config.laplace_method)

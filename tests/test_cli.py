@@ -230,3 +230,25 @@ def test_argparse_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify"])  # missing --identity
     assert excinfo.value.code == 2
+
+
+def test_gof_non_numeric_line_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("0.5\nabc\n1.5\n")
+    code, out, err = run_cli(capsys, "gof", "--data", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("logshift: error:") and err.count("\n") == 1
+    assert "abc" in err
+
+
+@pytest.mark.parametrize("extra", [("--t-max", "1e308"), ("--parent", "logistic,mu=nan")])
+def test_non_finite_cf_gap_exits_two(capsys, extra):
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--identity", "lemma1i:k=2,m=4,n=5", "--sample-size", "10000", *extra,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("logshift: error:") and err.count("\n") == 1
+    assert "not finite" in err

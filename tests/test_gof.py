@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logshift import gof
 from logshift import (
     DomainError,
     Exponential,
@@ -166,3 +167,39 @@ class TestGofTest:
         data = np.r_[Logistic().sample(RngStream(14), 500), np.nan]
         with pytest.raises(DomainError):
             gof_test(data, 3, 2)
+
+
+def _partition_reference(work, order, k):
+    """The np.partition block step that the selection network must reproduce."""
+    return np.partition(work[order], k - 1, axis=1)[:, k - 1]
+
+
+class TestBlockOrderStatistics:
+    # both sides of the bound above which gof falls back to np.partition
+    SIZES = range(1, gof._NETWORK_MAX_N + 5)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_network_selects_kth_of_every_zero_one_block(self, n):
+        # 0-1 principle: a comparator network that selects correctly on every
+        # 0/1 input selects correctly on every input
+        blocks = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        work = blocks.ravel().astype(float)
+        order = np.arange(work.size).reshape(blocks.shape)
+        for k in range(1, n + 1):
+            got = gof._block_order_statistics(work, order, k, gof._selection_network(n, k))
+            assert np.array_equal(got, np.sort(blocks, axis=1)[:, k - 1]), (n, k)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_block_step_equals_partition_on_tied_data(self, n):
+        rng = np.random.default_rng(100 + n)
+        work = np.round(rng.logistic(size=600 * n), 1)
+        order = rng.permutation(work.size).reshape(600, n)
+        for k in range(1, n + 1):
+            ref = _partition_reference(work, order, k)
+            network = gof._selection_network(n, k)
+            assert np.array_equal(gof._block_order_statistics(work, order, k, network), ref), (n, k)
+            assert np.array_equal(gof._block_order_statistics(work, order, k, None), ref), (n, k)
+
+    def test_three_two_network_is_the_median_of_three(self):
+        # min(max(a, b), max(min(a, b), c)): four elementwise operations
+        assert gof._selection_network(3, 2) == [(0, 1, True, True), (0, 2, False, True), (1, 2, True, False)]

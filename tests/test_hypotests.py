@@ -63,6 +63,52 @@ def test_does_not_reject_equal_distributions():
 def test_empty_sample_rejected():
     with pytest.raises(DomainError):
         ks_statistic(np.array([]), np.array([1.0]))
+    with pytest.raises(DomainError):
+        ks_statistic(np.array([1.0, 2.0]), np.array([]))
+
+
+def _ks_reference(x, y):
+    """The double-searchsorted KS statistic that ks_statistic must equal bit for bit."""
+    xs = np.sort(np.asarray(x, dtype=float))
+    ys = np.sort(np.asarray(y, dtype=float))
+    grid = np.concatenate([xs, ys])
+    cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
+    cdf_y = np.searchsorted(ys, grid, side="right") / ys.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+def _ks_cases():
+    rng = np.random.default_rng(23)
+    wide_tie = np.concatenate([np.zeros(20_000), rng.logistic(size=3_000)])
+    nan_x = rng.logistic(size=5_000)
+    nan_x[::7] = np.nan
+    inf_y = rng.logistic(size=4_000)
+    inf_y[:50] = np.inf
+    inf_y[50:90] = -np.inf
+    same = rng.logistic(size=9_000)
+    return {
+        "unequal sizes": (rng.logistic(size=20_000), rng.normal(0.0, 1.8, size=13_001)),
+        "gof sizes": (rng.logistic(size=10_000), rng.logistic(size=19_998)),
+        "rounded": (np.round(rng.logistic(size=30_000), 1), np.round(rng.normal(size=25_000), 1)),
+        "few values": (rng.integers(0, 4, size=9_000) * 1.0, rng.integers(0, 5, size=7_000) * 1.0),
+        "tie group wider than a scan step": (wide_tie, rng.logistic(size=8_000)),
+        "one each": (np.array([0.5]), np.array([-0.5])),
+        "one element left": (np.array([0.0]), rng.logistic(size=1_000)),
+        "one element right": (rng.logistic(size=1_000), np.array([0.0])),
+        "identical": (same, same.copy()),
+        "disjoint": (rng.uniform(0, 1, size=3_000), rng.uniform(2, 3, size=4_000)),
+        "interleaved disjoint": (np.arange(0, 20_000, 2.0), np.arange(1, 20_001, 2.0)),
+        "nan and inf": (nan_x, inf_y),
+        "all nan": (np.full(3, np.nan), np.array([1.0, np.nan])),
+        "integers": (np.arange(100), np.arange(50, 150)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ks_cases()))
+def test_statistic_equals_searchsorted_reference(case):
+    x, y = _ks_cases()[case]
+    assert ks_statistic(x, y) == _ks_reference(x, y)
+    assert ks_statistic(y, x) == _ks_reference(y, x)
 
 
 def test_cvm_wrapper():
