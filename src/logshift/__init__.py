@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     LogshiftError,
-    PoleError,
     TruncationError,
     UnsupportedParentError,
 )
@@ -38,8 +37,6 @@ from .gof import GofConfig, GofResult, adjacent_functional_residual, gof_test, w
 from .hypotests import cvm_two_sample, kolmogorov_sf, ks_statistic, ks_two_sample
 from .identities import (
     IdentitySpec,
-    exact_cf_side,
-    sample_side,
     ShiftExpression,
     ShiftTerm,
     VerificationConfig,
@@ -55,7 +52,7 @@ from .identities import (
 )
 from .quadrature import adaptive_quadrature, gauss_kronrod_15
 from .rng import RngStream
-from .special import complex_gamma, exponential_cf, log_gamma, logistic_cf
+from .special import exponential_cf, logistic_cf
 
 __all__ = [
     "__version__",
@@ -73,7 +70,6 @@ __all__ = [
     "LogshiftError",
     "Normal",
     "OrderStatistic",
-    "PoleError",
     "RngStream",
     "ShiftExpression",
     "ShiftTerm",
@@ -86,9 +82,7 @@ __all__ = [
     "adjacent_functional_residual",
     "catalog",
     "cf_invert_derivative",
-    "complex_gamma",
     "cvm_two_sample",
-    "exact_cf_side",
     "exponential_cf",
     "exponential_order_stat_cf",
     "gauss_kronrod_15",
@@ -98,7 +92,6 @@ __all__ = [
     "ks_two_sample",
     "lemma1i",
     "lemma1ii",
-    "log_gamma",
     "logistic_cf",
     "logistic_cf_grid",
     "logistic_order_stat_cf",
@@ -107,7 +100,6 @@ __all__ = [
     "numerical_cf",
     "parse_distribution",
     "parse_identity",
-    "sample_side",
     "theorem1",
     "verify",
     "w_functional",

@@ -6,8 +6,9 @@ has an exact closed form: with phi(t) = pi*t/sinh(pi*t),
     phi_{k,n}(t) = prod_{j=1}^{k-1} (1 + it/j) * prod_{j=1}^{n-k} (1 - it/j) * phi(t),
 
 equivalently Gamma(k+it)*Gamma(n-k+1-it) / (Gamma(k)*Gamma(n-k+1)). The
-linear-factor product is the production path (exact structure over integer
-denominators); the gamma quotient stays available as a cross-check.
+linear-factor product is the one evaluated (exact structure over integer
+denominators); the tests cross-check it against the gamma quotient through
+``scipy.special.gamma``.
 
 ``numerical_cf`` integrates e^{itx} against the order-statistic density by
 adaptive quadrature and acts as the independent oracle for arbitrary
@@ -91,8 +92,12 @@ class CFGrid:
         header = next(reader, None)
         if header != ["t", "re", "im", "err"]:
             raise DomainError(f"unexpected CSV header {header!r}")
-        rows = [(float(r[0]), complex(float(r[1]), float(r[2])), float(r[3])) for r in reader]
-        t, values, err = zip(*rows)
+        try:
+            rows = [(float(r[0]), complex(float(r[1]), float(r[2])), float(r[3])) for r in reader]
+        except (IndexError, ValueError) as exc:
+            raise DomainError(f"malformed CSV row: {exc}") from exc
+        # a header-only file gives an empty grid, refused by the constructor
+        t, values, err = zip(*rows) if rows else ((), (), ())
         return cls(np.array(t), np.array(values), np.array(err))
 
 

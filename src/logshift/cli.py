@@ -42,9 +42,9 @@ from .errors import LogshiftError, DomainError
 from .gof import GofConfig, gof_test
 from .identities import (
     CONSISTENT,
-    REJECTED,
     VerificationConfig,
     catalog,
+    combine_verdicts,
     parse_identity,
     verify,
 )
@@ -175,21 +175,12 @@ def _family_verdict(reports, alpha: float) -> dict:
         r.cf_max_abs_diff <= r.cf_threshold for r in with_exact
     )
     min_p = min(r.ks_p_value for r in reports)
-    mc_ok = min_p >= adjusted
-    if exact_ok is None:
-        verdict = CONSISTENT if mc_ok else REJECTED
-    elif exact_ok and mc_ok:
-        verdict = CONSISTENT
-    elif not exact_ok and not mc_ok:
-        verdict = REJECTED
-    else:
-        verdict = "inconclusive"
     return {
         "tests": tests,
         "alpha": alpha,
         "bonferroni_alpha": adjusted,
         "min_ks_p_value": min_p,
-        "verdict": verdict,
+        "verdict": combine_verdicts(exact_ok, min_p >= adjusted),
     }
 
 

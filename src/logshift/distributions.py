@@ -8,8 +8,7 @@ uniform on (0, 1), and normal.
 
 Order statistics are sampled through the uniform representation: the k-th
 of n uniforms is Beta(k, n-k+1), so a parent quantile applied to a beta
-draw realizes the k-th order statistic in O(1) per draw. A full-sort
-sampler is kept as an independent cross-check.
+draw realizes the k-th order statistic in O(1) per draw.
 """
 
 from __future__ import annotations
@@ -43,6 +42,11 @@ def _scalar_like(arr, template):
     if np.ndim(arr) == 0:
         return float(arr)
     return arr
+
+
+def _check_finite_location(mu) -> None:
+    if not math.isfinite(mu):
+        raise DomainError(f"mu is not finite, got {mu!r}")
 
 
 def _validated_int(value, name: str, minimum: int):
@@ -84,6 +88,9 @@ class Logistic(Distribution):
 
     mu: float = 0.0
     name = "logistic"
+
+    def __post_init__(self):
+        _check_finite_location(self.mu)
 
     def cdf(self, x):
         t = _as_float_array(x) - self.mu
@@ -195,6 +202,7 @@ class Normal(Distribution):
     name = "normal"
 
     def __post_init__(self):
+        _check_finite_location(self.mu)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma!r}")
 
@@ -258,14 +266,6 @@ class OrderStatistic:
         u = np.clip(u, tiny, 1.0 - 2**-53)
         return self.parent.quantile(u)
 
-    def sample_by_sorting(self, rng: RngStream, count: int) -> np.ndarray:
-        """Cross-check oracle: draw n parents per replicate and select the k-th smallest."""
-        if count < 1:
-            raise DomainError("count must be >= 1")
-        u = rng.uniform_open(count * self.n).reshape(count, self.n)
-        draws = self.parent.quantile(u)
-        return np.partition(draws, self.k - 1, axis=1)[:, self.k - 1]
-
 
 _FAMILY_KEYS = {
     "logistic": ({"mu"}, lambda kw: Logistic(mu=float(kw.get("mu", 0.0)))),
@@ -279,6 +279,23 @@ _FAMILY_KEYS = {
 }
 
 
+def parse_params(parts, allowed: set[str], owner: str) -> dict[str, str]:
+    """Read ``key=value`` selector parts; keys are case-folded, values stripped.
+
+    ``owner`` names the selector in the error for a key outside ``allowed``.
+    """
+    params = {}
+    for part in parts:
+        if "=" not in part:
+            raise DomainError(f"malformed parameter {part!r} (expected key=value)")
+        key, value = part.split("=", 1)
+        key = key.strip().lower()
+        if key not in allowed:
+            raise DomainError(f"{owner} does not take parameter {key!r}")
+        params[key] = value.strip()
+    return params
+
+
 def parse_distribution(text: str) -> Distribution:
     """Parse a CLI-style selector such as ``normal,mu=0,sigma=1.8138``."""
     parts = [p.strip() for p in text.strip().split(",") if p.strip()]
@@ -288,15 +305,7 @@ def parse_distribution(text: str) -> Distribution:
     if family not in _FAMILY_KEYS:
         raise DomainError(f"unknown distribution family {family!r}")
     allowed, build = _FAMILY_KEYS[family]
-    kwargs = {}
-    for part in param_parts:
-        if "=" not in part:
-            raise DomainError(f"malformed parameter {part!r} (expected key=value)")
-        key, value = part.split("=", 1)
-        key = key.strip().lower()
-        if key not in allowed:
-            raise DomainError(f"family {family!r} does not take parameter {key!r}")
-        kwargs[key] = value.strip()
+    kwargs = parse_params(param_parts, allowed, f"family {family!r}")
     try:
         return build(kwargs)
     except (TypeError, ValueError) as exc:

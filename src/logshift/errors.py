@@ -9,10 +9,6 @@ class DomainError(LogshiftError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at (or indistinguishably close to) a gamma pole."""
-
-
 class ConvergenceError(LogshiftError):
     """An adaptive numerical scheme exhausted its budget before reaching tolerance."""
 

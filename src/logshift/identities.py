@@ -30,16 +30,16 @@ CFs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import (
     Distribution,
     Exponential,
-    Laplace,
     Logistic,
     OrderStatistic,
+    parse_params,
 )
 from .errors import DomainError, UnsupportedParentError
 from .hypotests import cvm_two_sample, ks_two_sample
@@ -60,8 +60,7 @@ __all__ = [
     "maxexp",
     "catalog",
     "parse_identity",
-    "exact_cf_side",
-    "sample_side",
+    "combine_verdicts",
     "verify",
 ]
 
@@ -129,21 +128,17 @@ class ShiftExpression:
             return complex(value)
         return value
 
-    def sample(self, rng: RngStream, count: int, laplace_method: str = "difference") -> np.ndarray:
+    def sample(self, rng: RngStream, count: int) -> np.ndarray:
         """Monte Carlo realization: base draw plus independent shift draws."""
-        if laplace_method not in ("difference", "quantile"):
-            raise DomainError(f"unknown laplace_method {laplace_method!r}")
         out = self.base.sample(rng.substream(0), count)
         for i, term in enumerate(self.shifts):
             stream = rng.substream(i + 1)
             if term.kind == "exponential":
                 draw = Exponential(rate=term.weight).sample(stream, count)
-            elif laplace_method == "difference":
+            else:
                 e1 = Exponential(rate=term.weight).sample(stream, count)
                 e2 = Exponential(rate=term.weight).sample(stream, count)
                 draw = e1 - e2
-            else:
-                draw = Laplace(index=term.weight).sample(stream, count)
             out = out + term.sign * draw
         return out
 
@@ -157,18 +152,6 @@ class ShiftExpression:
             op = "+" if term.sign > 0 else "-"
             text += f" {op} {symbol}/{term.weight}" if term.weight > 1 else f" {op} {symbol}"
         return text
-
-
-def exact_cf_side(expr: ShiftExpression, t):
-    """Function form of :meth:`ShiftExpression.cf`."""
-    return expr.cf(t)
-
-
-def sample_side(
-    expr: ShiftExpression, rng: RngStream, count: int, laplace_method: str = "difference"
-) -> np.ndarray:
-    """Function form of :meth:`ShiftExpression.sample`."""
-    return expr.sample(rng, count, laplace_method)
 
 
 def _base_cf(base: OrderStatistic, t):
@@ -209,31 +192,17 @@ class IdentitySpec:
         return self.lhs.parent
 
     def describe(self) -> str:
-        return f"{self.describe_lhs()}  =d  {self.describe_rhs()}"
-
-    def describe_lhs(self) -> str:
-        return self.lhs.describe()
-
-    def describe_rhs(self) -> str:
-        return self.rhs.describe()
+        return f"{self.lhs.describe()}  =d  {self.rhs.describe()}"
 
 
 def theorem1(r: int, k: int, n: int, parent: Distribution | None = None) -> IdentitySpec:
-    """Two order statistics r ranks apart with one-sided exponential shifts."""
+    """Two order statistics r ranks apart: ``lemma1i(k, k + r, n)`` under its own label."""
     if r not in (1, 2, 3):
         raise DomainError(f"spacing r must be 1, 2, or 3, got {r!r}")
     if not 1 <= k <= n - r:
         raise DomainError(f"k must lie in [1, n-r] = [1, {n - r}], got {k!r}")
-    parent = parent if parent is not None else Logistic()
-    lhs = ShiftExpression(
-        OrderStatistic(parent, n, k + r),
-        tuple(ShiftTerm(-1, j) for j in range(k, k + r)),
-    )
-    rhs = ShiftExpression(
-        OrderStatistic(parent, n, k),
-        tuple(ShiftTerm(+1, n - j) for j in range(k, k + r)),
-    )
-    return IdentitySpec("theorem1", f"theorem1:r={r},k1={k},n={n}", lhs, rhs, n=n, k=k, r=r)
+    label = f"theorem1:r={r},k1={k},n={n}"
+    return replace(lemma1i(k, k + r, n, parent), family="theorem1", label=label, m=None, r=r)
 
 
 def lemma1i(k: int, m: int, n: int, parent: Distribution | None = None) -> IdentitySpec:
@@ -343,19 +312,13 @@ def parse_identity(
     family = family.strip().lower()
     if family not in _SELECTOR_PARAMS:
         raise DomainError(f"unknown identity family {family!r}")
+    parts = param_text.split(",") if param_text.strip() else []
     params: dict[str, int] = {}
-    if param_text.strip():
-        for part in param_text.split(","):
-            if "=" not in part:
-                raise DomainError(f"malformed parameter {part!r} (expected key=value)")
-            key, value = part.split("=", 1)
-            key = key.strip().lower()
-            if key not in _SELECTOR_PARAMS[family]:
-                raise DomainError(f"identity {family!r} does not take parameter {key!r}")
-            try:
-                params[key] = int(value)
-            except ValueError as exc:
-                raise DomainError(f"parameter {key!r} must be an integer") from exc
+    for key, value in parse_params(parts, _SELECTOR_PARAMS[family], f"identity {family!r}").items():
+        try:
+            params[key] = int(value)
+        except ValueError as exc:
+            raise DomainError(f"parameter {key!r} must be an integer") from exc
 
     def need(name: str) -> int:
         if name not in params:
@@ -392,7 +355,6 @@ class VerificationConfig:
     t_points: int = 41
     cf_threshold: float = 1e-12
     statistic: str = "ks"
-    laplace_method: str = "difference"
 
     def __post_init__(self):
         if self.sample_size < 10_000:
@@ -407,8 +369,6 @@ class VerificationConfig:
             raise DomainError("cf_threshold must be positive")
         if self.statistic not in ("ks", "cvm"):
             raise DomainError(f"unknown statistic {self.statistic!r}")
-        if self.laplace_method not in ("difference", "quantile"):
-            raise DomainError(f"unknown laplace_method {self.laplace_method!r}")
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_points)
@@ -437,8 +397,8 @@ class VerificationReport:
                 "k": self.identity.k,
                 "m": self.identity.m,
                 "r": self.identity.r,
-                "lhs": self.identity.describe_lhs(),
-                "rhs": self.identity.describe_rhs(),
+                "lhs": self.identity.lhs.describe(),
+                "rhs": self.identity.rhs.describe(),
             },
             "cf_max_abs_diff": self.cf_max_abs_diff,
             "cf_threshold": self.cf_threshold,
@@ -462,13 +422,24 @@ class VerificationReport:
         )
 
 
+def combine_verdicts(exact_ok: bool | None, mc_ok: bool) -> str:
+    """The verdict rule shared by one identity and a Bonferroni family.
+
+    With both routes available, agreement on both gives ``consistent``,
+    failure on both gives ``rejected``, and a split gives ``inconclusive``.
+    Without an exact route (``exact_ok is None``) the Monte Carlo test
+    decides alone.
+    """
+    if exact_ok is None or exact_ok == mc_ok:
+        return CONSISTENT if mc_ok else REJECTED
+    return INCONCLUSIVE
+
+
 def verify(identity: IdentitySpec, config: VerificationConfig | None = None) -> VerificationReport:
     """Run the exact CF comparison (when available) and the Monte Carlo test.
 
-    Verdict rule: with both routes available, agreement on both gives
-    ``consistent``, failure on both gives ``rejected``, and a split gives
-    ``inconclusive``. Without an exact route the Monte Carlo test decides
-    alone. Identical (identity, config) inputs give bit-identical reports.
+    The two outcomes combine by :func:`combine_verdicts`. Identical
+    (identity, config) inputs give bit-identical reports.
     """
     config = config if config is not None else VerificationConfig()
     grid = config.t_grid()
@@ -488,22 +459,12 @@ def verify(identity: IdentitySpec, config: VerificationConfig | None = None) -> 
         )
 
     root = RngStream(config.seed)
-    lhs_draws = identity.lhs.sample(root.substream(0), config.sample_size, config.laplace_method)
-    rhs_draws = identity.rhs.sample(root.substream(1), config.sample_size, config.laplace_method)
+    lhs_draws = identity.lhs.sample(root.substream(0), config.sample_size)
+    rhs_draws = identity.rhs.sample(root.substream(1), config.sample_size)
     test = ks_two_sample(lhs_draws, rhs_draws) if config.statistic == "ks" else cvm_two_sample(
         lhs_draws, rhs_draws
     )
-    mc_ok = test.pvalue >= config.alpha
-
-    if exact_ok is None:
-        verdict = CONSISTENT if mc_ok else REJECTED
-    elif exact_ok and mc_ok:
-        verdict = CONSISTENT
-    elif not exact_ok and not mc_ok:
-        verdict = REJECTED
-    else:
-        verdict = INCONCLUSIVE
-
+    verdict = combine_verdicts(exact_ok, test.pvalue >= config.alpha)
     return VerificationReport(
         identity=identity,
         cf_max_abs_diff=cf_max_abs_diff,

@@ -1,127 +1,19 @@
-"""Complex gamma and the characteristic-function building blocks.
-
-The gamma evaluation uses the Lanczos approximation with g = 607/128 and
-15 coefficients (P. Godfrey's set, the one also shipped by GSL and Boost
-Math). On the supported window |Im z| <= 50, Re z in [-50, 50] it delivers
-relative error below 1e-13, comfortably inside the 1e-12 budget; accuracy
-degrades only within ~1e-7 of a pole, where relative error grows like
-eps/|distance to pole|.
+"""Characteristic-function building blocks of the parent laws.
 
 The logistic characteristic function is evaluated in its closed real form
-pi*t/sinh(pi*t); the gamma-product route Gamma(1+it)*Gamma(1-it) exists as
-an independent cross-check, not as the production path.
+pi*t/sinh(pi*t). It equals the gamma product Gamma(1+it)*Gamma(1-it); the
+tests check it against that product through ``scipy.special.gamma``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
-__all__ = ["complex_gamma", "log_gamma", "logistic_cf", "exponential_cf"]
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_TWO_PI = 2.5066282746310005024157652848110
-_LOG_SQRT_TWO_PI = 0.91893853320467274178032973640562
-_POLE_TOLERANCE = 1e-14
-_LOG_DBL_MAX = math.log(1.7976931348623157e308)
-
-
-def _sinpi(z: complex) -> complex:
-    """sin(pi*z) with exact argument reduction; full relative accuracy near integers."""
-    n = math.floor(z.real + 0.5)
-    pr = math.pi * (z.real - n)
-    py = math.pi * z.imag
-    s = complex(math.sin(pr) * math.cosh(py), math.cos(pr) * math.sinh(py))
-    return -s if n % 2 else s
-
-
-def _lanczos_series(zm1: complex) -> complex:
-    acc = complex(_LANCZOS_COEFFS[0])
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (zm1 + i)
-    return acc
-
-
-def _check_finite(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    return z
-
-
-def _near_pole(z: complex) -> bool:
-    if z.real > 0.5:
-        return False
-    nearest = round(z.real)
-    return nearest <= 0 and abs(z - nearest) <= _POLE_TOLERANCE
-
-
-# Above this real part the direct Lanczos product overflows in its
-# intermediate power term even though the result may still fit.
-_DIRECT_LIMIT = 140.0
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma function for complex argument.
-
-    Raises PoleError within 1e-14 of a non-positive integer and
-    OverflowError when |Gamma(z)| exceeds double range. Values whose true
-    magnitude underflows double precision come back as 0.0.
-    """
-    z = _check_finite(z)
-    if _near_pole(z):
-        raise PoleError(f"gamma pole at or too close to {z!r}")
-    if z.real >= 0.5:
-        if z.real <= _DIRECT_LIMIT:
-            zm1 = z - 1.0
-            t = zm1 + _LANCZOS_G + 0.5
-            return _SQRT_TWO_PI * t ** (zm1 + 0.5) * cmath.exp(-t) * _lanczos_series(zm1)
-        lg = log_gamma(z)
-        if lg.real > _LOG_DBL_MAX:
-            raise OverflowError(f"|gamma({z!r})| exceeds double range")
-        return cmath.exp(lg)
-    # reflection keeps the Lanczos series on its accurate half-plane
-    if 1.0 - z.real <= _DIRECT_LIMIT:
-        return math.pi / (_sinpi(z) * complex_gamma(1.0 - z))
-    return cmath.exp(log_gamma(z))
-
-
-def log_gamma(z: complex) -> complex:
-    """log of the gamma function; exp(log_gamma(z)) == complex_gamma(z).
-
-    The imaginary part is the principal one for Re z >= 0.5; on the
-    reflected half-plane it may differ from the analytic continuation by a
-    multiple of 2*pi*i.
-    """
-    z = _check_finite(z)
-    if _near_pole(z):
-        raise PoleError(f"gamma pole at or too close to {z!r}")
-    if z.real < 0.5:
-        return cmath.log(math.pi) - cmath.log(_sinpi(z)) - log_gamma(1.0 - z)
-    zm1 = z - 1.0
-    t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_series(zm1))
+__all__ = ["logistic_cf", "exponential_cf"]
 
 
 # Taylor window and coefficients for t/sinh(t) = 1 - t^2/6 + 7 t^4/360 - ...

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as scipy_gamma
 
 from logshift import (
     CFGrid,
@@ -14,7 +15,6 @@ from logshift import (
     TruncationError,
     Uniform01,
     cf_invert_derivative,
-    complex_gamma,
     exponential_order_stat_cf,
     logistic_cf,
     logistic_cf_grid,
@@ -48,11 +48,22 @@ class TestExactLogisticCF:
             t = float(rng.uniform(-6, 6))
             product = logistic_order_stat_cf(n, k, t)
             quotient = (
-                complex_gamma(k + 1j * t)
-                * complex_gamma(n - k + 1 - 1j * t)
-                / (complex_gamma(k) * complex_gamma(n - k + 1))
+                scipy_gamma(k + 1j * t)
+                * scipy_gamma(n - k + 1 - 1j * t)
+                / (scipy_gamma(k) * scipy_gamma(n - k + 1))
             )
             assert abs(product - quotient) <= 1e-12
+
+    def test_gamma_quotient_matches_mpmath_spot_checks(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n, k, t in ((3, 2, 1.0), (5, 1, 0.7), (6, 4, -2.5), (8, 8, 4.0), (7, 3, 5.9)):
+            with mpmath.workdps(40):
+                ref = (
+                    mpmath.gamma(k + 1j * t)
+                    * mpmath.gamma(n - k + 1 - 1j * t)
+                    / (mpmath.gamma(k) * mpmath.gamma(n - k + 1))
+                )
+            assert abs(logistic_order_stat_cf(n, k, t) - complex(ref)) <= 1e-14
 
     def test_modulus_bounded(self):
         t = np.linspace(-10, 10, 201)
@@ -173,6 +184,19 @@ class TestCFGrid:
         assert np.array_equal(back.t, grid.t)
         assert np.array_equal(back.values, grid.values)
         assert np.array_equal(back.abs_error, grid.abs_error)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,re,im,err\n",
+            "t,re,im,err\n0.0,1.0,0.0,0.0\n1.0,0.5,0.0\n",
+            "t,re,im,err\n0.0,1.0,0.0,0.0\n1.0,half,0.0,0.0\n",
+        ],
+        ids=["header_only", "short_row", "non_numeric_row"],
+    )
+    def test_csv_errors_are_domain_errors(self, text):
+        with pytest.raises(DomainError):
+            CFGrid.from_csv(io.StringIO(text))
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):

@@ -252,3 +252,17 @@ def test_non_finite_cf_gap_exits_two(capsys, extra):
     assert out == ""
     assert err.startswith("logshift: error:") and err.count("\n") == 1
     assert "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "parent", ["normal,mu=nan,sigma=1", "normal,mu=inf,sigma=1", "logistic,mu=inf"]
+)
+def test_non_finite_parent_exits_two(capsys, parent):
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--identity", "theorem1:r=1,k1=1,n=3", "--parent", parent,
+        "--sample-size", "10000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("logshift: error:") and err.count("\n") == 1

@@ -9,6 +9,8 @@ import pytest
 from logshift import (
     DomainError,
     Exponential,
+    IdentitySpec,
+    Laplace,
     Logistic,
     Normal,
     OrderStatistic,
@@ -17,6 +19,7 @@ from logshift import (
     ShiftTerm,
     UnsupportedParentError,
     VerificationConfig,
+    VerificationReport,
     catalog,
     ks_two_sample,
     lemma1i,
@@ -28,8 +31,23 @@ from logshift import (
     theorem1,
     verify,
 )
+from logshift.cli import _family_verdict
+from logshift.identities import combine_verdicts
 
 VARIANCE_MATCHED_NORMAL = Normal(0.0, math.pi / math.sqrt(3.0))
+
+
+def sample_with_laplace_quantiles(expr, rng, count):
+    """Reference sampler: each two-sided term by the Laplace quantile, not a difference."""
+    out = expr.base.sample(rng.substream(0), count)
+    for i, term in enumerate(expr.shifts):
+        stream = rng.substream(i + 1)
+        if term.kind == "exponential":
+            draw = Exponential(rate=term.weight).sample(stream, count)
+        else:
+            draw = Laplace(index=term.weight).sample(stream, count)
+        out = out + term.sign * draw
+    return out
 
 
 class TestCatalogStructure:
@@ -183,8 +201,8 @@ class TestSampling:
 
     def test_laplace_routes_agree(self):
         ident = median(2)
-        direct = ident.rhs.sample(RngStream(101).substream(0), 100_000, "quantile")
-        differenced = ident.rhs.sample(RngStream(101).substream(1), 100_000, "difference")
+        direct = sample_with_laplace_quantiles(ident.rhs, RngStream(101).substream(0), 100_000)
+        differenced = ident.rhs.sample(RngStream(101).substream(1), 100_000)
         assert ks_two_sample(direct, differenced).pvalue >= 0.01
 
     def test_sampling_deterministic(self):
@@ -192,19 +210,6 @@ class TestSampling:
         a = expr.sample(RngStream(111), 1000)
         b = expr.sample(RngStream(111), 1000)
         assert np.array_equal(a, b)
-
-    def test_function_forms_match_methods(self):
-        from logshift import exact_cf_side, sample_side
-
-        expr = median(3).rhs
-        assert exact_cf_side(expr, 1.3) == expr.cf(1.3)
-        assert np.array_equal(
-            sample_side(expr, RngStream(6), 500), expr.sample(RngStream(6), 500)
-        )
-
-    def test_bad_laplace_method(self):
-        with pytest.raises(DomainError):
-            median(2).rhs.sample(RngStream(0), 100, "other")
 
 
 class TestVerify:
@@ -264,11 +269,18 @@ class TestVerify:
         )
         assert report.verdict == "consistent"
 
+    def test_wrong_rhs_rejected_through_exact_route(self):
+        # lemma1i:k=2,m=4,n=5 with the rhs's last shift term dropped
+        true = lemma1i(2, 4, 5)
+        broken_rhs = ShiftExpression(true.rhs.base, true.rhs.shifts[:-1])
+        wrong = IdentitySpec("lemma1i", "wrong", true.lhs, broken_rhs, n=5, k=2, m=4)
+        report = verify(wrong, VerificationConfig(sample_size=10_000, seed=0))
+        assert report.cf_max_abs_diff > report.cf_threshold
+        assert report.verdict == "rejected"
+
     def test_mismatched_parents_rejected(self):
         lhs = ShiftExpression(OrderStatistic(Logistic(), 2, 1))
         rhs = ShiftExpression(OrderStatistic(Exponential(1.0), 2, 1))
-        from logshift import IdentitySpec
-
         with pytest.raises(DomainError):
             IdentitySpec("lemma1i", "bad", lhs, rhs, n=2)
 
@@ -279,3 +291,34 @@ class TestVerify:
             ShiftTerm(1, 0)
         with pytest.raises(DomainError):
             ShiftTerm(1, 1, kind="gamma")
+
+
+
+# (exact route ok, Monte Carlo route ok, verdict); None means no exact route
+VERDICT_TABLE = [
+    (None, True, "consistent"),
+    (None, False, "rejected"),
+    (True, True, "consistent"),
+    (True, False, "inconclusive"),
+    (False, True, "inconclusive"),
+    (False, False, "rejected"),
+]
+
+
+@pytest.mark.parametrize("exact_ok,mc_ok,expected", VERDICT_TABLE)
+def test_verdict_rule_table(exact_ok, mc_ok, expected):
+    assert combine_verdicts(exact_ok, mc_ok) == expected
+
+
+@pytest.mark.parametrize("exact_ok,mc_ok,expected", VERDICT_TABLE)
+def test_family_verdict_table(exact_ok, mc_ok, expected):
+    # two reports at alpha 0.01: the Bonferroni level is 0.005
+    cf_gaps = {None: (None, None), True: (0.0, 1e-13), False: (0.0, 0.5)}[exact_ok]
+    p_values = (0.5, 0.2) if mc_ok else (0.5, 0.001)
+    reports = [
+        VerificationReport(lemma1i(1, 2, 3), gap, 1e-12, 0.01, p, 10_000, 0, "unused")
+        for gap, p in zip(cf_gaps, p_values)
+    ]
+    family = _family_verdict(reports, 0.01)
+    assert family["bonferroni_alpha"] == 0.005
+    assert family["verdict"] == expected
