@@ -33,7 +33,14 @@ from .errors import (
     TruncationError,
     UnsupportedParentError,
 )
-from .gof import GofConfig, GofResult, adjacent_functional_residual, gof_test, w_functional
+from .gof import (
+    GofConfig,
+    GofResult,
+    adjacent_functional_residual,
+    gof_null,
+    gof_test,
+    w_functional,
+)
 from .hypotests import cvm_two_sample, kolmogorov_sf, ks_statistic, ks_two_sample
 from .identities import (
     IdentitySpec,
@@ -86,6 +93,7 @@ __all__ = [
     "exponential_cf",
     "exponential_order_stat_cf",
     "gauss_kronrod_15",
+    "gof_null",
     "gof_test",
     "kolmogorov_sf",
     "ks_statistic",

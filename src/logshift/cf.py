@@ -64,6 +64,8 @@ class CFGrid:
             raise DomainError("grid needs at least two points")
         if values.shape != t.shape:
             raise DomainError("t and values must have the same length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
+            raise DomainError("grid t and cf values must be finite")
         if np.any(np.diff(t) <= 0):
             raise DomainError("t values must be strictly increasing")
         if np.any(abs_error < 0):

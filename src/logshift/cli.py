@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,7 +40,7 @@ from . import __version__
 from .cf import CFGrid, logistic_order_stat_cf
 from .distributions import Exponential, Logistic, parse_distribution
 from .errors import LogshiftError, DomainError
-from .gof import GofConfig, gof_test
+from .gof import GofConfig, gof_null, gof_test
 from .identities import (
     CONSISTENT,
     VerificationConfig,
@@ -50,6 +51,8 @@ from .identities import (
 )
 
 SEED_ENV_VAR = "LOGSHIFT_SEED"
+# Quantiles of the GOF null statistics that a gof report lists.
+NULL_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def _default_seed() -> int:
@@ -179,7 +182,7 @@ def _family_verdict(reports, alpha: float) -> dict:
         "tests": tests,
         "alpha": alpha,
         "bonferroni_alpha": adjusted,
-        "min_ks_p_value": min_p,
+        f"min_{reports[0].statistic}_p_value": min_p,
         "verdict": combine_verdicts(exact_ok, min_p >= adjusted),
     }
 
@@ -227,7 +230,7 @@ def _run_verification(args, command: str, identities, characterization_level: bo
         lines.extend(r.summary() for r in reports)
         lines.append(
             f"family: {family['verdict']} (tests={family['tests']}, "
-            f"bonferroni_alpha={family['bonferroni_alpha']:.3e}, min_p={family['min_ks_p_value']:.4f})"
+            f"bonferroni_alpha={family['bonferroni_alpha']:.3e}, min_p={family[f'min_{config.statistic}_p_value']:.4f})"
         )
         _emit("\n".join(lines), args.output)
     return 0 if ok else 1
@@ -259,10 +262,12 @@ def _cmd_cf_table(args) -> int:
     fmt = args.format or "csv"
     if fmt != "csv":
         raise DomainError("cf-table emits csv only")
-    if args.t_points < 2 or not args.t_min < args.t_max:
-        raise DomainError("need t_min < t_max and t_points >= 2")
+    if args.t_points < 2 or not -math.inf < args.t_min < args.t_max < math.inf:
+        raise DomainError("need finite t_min < t_max and t_points >= 2")
     t = np.linspace(args.t_min, args.t_max, args.t_points)
-    values = logistic_order_stat_cf(args.n, args.k, t)
+    # overflow far out on the grid shows up as a non-finite value, refused by CFGrid
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = logistic_order_stat_cf(args.n, args.k, t)
     grid = CFGrid(t, values, 1e-14)
     buffer = io.StringIO()
     grid.to_csv(buffer)
@@ -327,6 +332,15 @@ def _cmd_gof(args) -> int:
     }
     payload["result"] = result.to_dict()
     payload["reject"] = result.p_value < args.alpha
+    # the null gof_test just used, from the memo
+    null = gof_null(data.size, args.n, args.k, config)
+    p = result.p_value
+    payload["null"] = {
+        "quantiles": {
+            str(q): float(v) for q, v in zip(NULL_QUANTILES, np.quantile(null, NULL_QUANTILES))
+        },
+        "p_value_mc_se": math.sqrt(p * (1.0 - p) / (config.null_replicates + 1)),
+    }
 
     fmt = args.format or "json"
     if fmt == "csv":

@@ -16,6 +16,9 @@ Two exact functionals and one data-level test:
   p-value is calibrated by Monte Carlo under the standard-logistic null,
   regenerating the full pipeline (including optional median centering), so
   the data/reconstruction dependence is accounted for exactly.
+* ``gof_null`` is that Monte Carlo null on its own. It depends on the size
+  of the data but not on their values, so it is computed once per process
+  for each (size, n, k, config) and shared by every ``gof_test`` call.
 
 The data are assumed standardized to unit scale. Location needs no
 standardization: the reconstruction inherits any common location shift
@@ -29,6 +32,7 @@ what the test detects.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +47,17 @@ __all__ = [
     "adjacent_functional_residual",
     "GofConfig",
     "GofResult",
+    "gof_null",
     "gof_test",
 ]
 
 _BOUNDARY_EPS = 1e-15
 _MIN_DATA = 100
+# Entries kept by gof_null's memo. Criterion 8 asks for the nulls of 200
+# seeds in its calibration loop and again in its power loop, so the bound
+# must exceed 200 for the second loop to hit. An entry of 199 replicates
+# is 1.6 KB.
+_NULL_CACHE_SIZE = 256
 
 
 def w_functional(d: Distribution, x):
@@ -91,6 +101,9 @@ class GofConfig:
     center: bool = False
 
     def __post_init__(self):
+        # an integral float would equal an int config in gof_null's memo
+        if not isinstance(self.null_replicates, (int, np.integer)):
+            raise DomainError(f"null_replicates must be an integer, got {self.null_replicates!r}")
         if self.null_replicates < 199:
             raise DomainError("null_replicates must be at least 199")
         if self.passes < 1:
@@ -205,12 +218,45 @@ def _reconstruction_statistic(
     return ks_statistic(work, recon)
 
 
+@functools.lru_cache(maxsize=_NULL_CACHE_SIZE, typed=True)
+def gof_null(size: int, n: int, k: int, config: GofConfig) -> np.ndarray:
+    """Sorted null statistics of ``gof_test`` for data of this size, read-only.
+
+    Replicate i (1-based) runs a fresh standard-logistic dataset drawn from
+    substream (i, 0) through the pipeline with shuffles and shifts from
+    substream (i, 1). Nothing here depends on the data, so the result is
+    memoised process-wide per (size, n, k, config). ``typed=True`` keeps
+    ``k=2.0`` from hitting the entry of ``k=2`` and skipping validation.
+    """
+    if size < _MIN_DATA:
+        raise InsufficientDataError(f"need at least {_MIN_DATA} observations, got {size}")
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
+        raise DomainError(f"rank k must lie in [1, {n}], got {k!r}")
+    if n > size:
+        raise InsufficientDataError(f"block size n={n} exceeds data size {size}")
+
+    root = RngStream(config.seed)
+    null_parent = Logistic()
+    stats = np.empty(config.null_replicates)
+    for i in range(1, config.null_replicates + 1):
+        s = root.substream(i)
+        null_data = null_parent.sample(s.substream(0), size)
+        stats[i - 1] = _reconstruction_statistic(
+            null_data, s.substream(1), n, k, config.passes, config.center
+        )
+    stats.sort()
+    stats.flags.writeable = False
+    return stats
+
+
 def gof_test(data, n: int, k: int, config: GofConfig | None = None) -> GofResult:
     """Reconstruction-based logistic goodness-of-fit test.
 
     The p-value is (1 + #{null statistics >= observed}) / (null_replicates + 1),
     each null statistic coming from a fresh standard-logistic dataset of the
-    same size run through the identical pipeline.
+    same size run through the identical pipeline (see :func:`gof_null`).
     """
     config = config if config is not None else GofConfig()
     data = np.asarray(data, dtype=float).ravel()
@@ -220,27 +266,12 @@ def gof_test(data, n: int, k: int, config: GofConfig | None = None) -> GofResult
         )
     if not np.all(np.isfinite(data)):
         raise DomainError("data must be finite")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n):
-        raise DomainError(f"rank k must lie in [1, {n}], got {k!r}")
-    if n > data.size:
-        raise InsufficientDataError(f"block size n={n} exceeds data size {data.size}")
+    null = gof_null(data.size, n, k, config)
 
-    root = RngStream(config.seed)
-    null_parent = Logistic()
     observed = _reconstruction_statistic(
-        data, root.substream(0), n, k, config.passes, config.center
+        data, RngStream(config.seed).substream(0), n, k, config.passes, config.center
     )
-    exceed = 0
-    for i in range(1, config.null_replicates + 1):
-        s = root.substream(i)
-        null_data = null_parent.sample(s.substream(0), data.size)
-        stat = _reconstruction_statistic(
-            null_data, s.substream(1), n, k, config.passes, config.center
-        )
-        if stat >= observed:
-            exceed += 1
+    exceed = int(null.size - np.searchsorted(null, observed, side="left"))
     p_value = (1.0 + exceed) / (config.null_replicates + 1.0)
     return GofResult(
         statistic=float(observed),

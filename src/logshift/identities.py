@@ -374,6 +374,10 @@ class VerificationConfig:
         return np.linspace(self.t_min, self.t_max, self.t_points)
 
 
+# The letter each two-sample statistic goes by in one-line summaries.
+_STATISTIC_SYMBOL = {"ks": "D", "cvm": "T"}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the exact and Monte Carlo checks for one identity."""
@@ -386,6 +390,9 @@ class VerificationReport:
     sample_size: int
     seed: int
     verdict: str
+    # The two-sample test behind ks_statistic and ks_p_value, "ks" or
+    # "cvm"; reports name their keys after it.
+    statistic: str = "ks"
 
     def to_dict(self) -> dict:
         return {
@@ -402,8 +409,8 @@ class VerificationReport:
             },
             "cf_max_abs_diff": self.cf_max_abs_diff,
             "cf_threshold": self.cf_threshold,
-            "ks_statistic": self.ks_statistic,
-            "ks_p_value": self.ks_p_value,
+            f"{self.statistic}_statistic": self.ks_statistic,
+            f"{self.statistic}_p_value": self.ks_p_value,
             "sample_size": self.sample_size,
             "seed": self.seed,
             "verdict": self.verdict,
@@ -417,7 +424,7 @@ class VerificationReport:
         )
         return (
             f"{self.verdict:12s} {self.identity.label:28s} {cf_part} "
-            f"D={self.ks_statistic:.5f} p={self.ks_p_value:.4f} "
+            f"{_STATISTIC_SYMBOL[self.statistic]}={self.ks_statistic:.5f} p={self.ks_p_value:.4f} "
             f"N={self.sample_size} seed={self.seed}"
         )
 
@@ -474,4 +481,5 @@ def verify(identity: IdentitySpec, config: VerificationConfig | None = None) -> 
         sample_size=config.sample_size,
         seed=config.seed,
         verdict=verdict,
+        statistic=config.statistic,
     )

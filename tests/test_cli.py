@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from logshift import CFGrid, Logistic, Normal, RngStream, logistic_order_stat_cf
+from logshift import CFGrid, GofConfig, Logistic, Normal, RngStream, gof_null, logistic_order_stat_cf
 from logshift.cli import main
 
 
@@ -263,6 +263,68 @@ def test_non_finite_parent_exits_two(capsys, parent):
         "verify", "--identity", "theorem1:r=1,k1=1,n=3", "--parent", parent,
         "--sample-size", "10000",
     )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("logshift: error:") and err.count("\n") == 1
+
+
+def test_gof_cold_runs_match_a_warm_run(tmp_path, capsys):
+    # criterion 9's gof call: its second run reuses the memoised null, so the
+    # path that computes the null is checked here against a cleared memo
+    data_path = tmp_path / "data.txt"
+    np.savetxt(data_path, Logistic().sample(RngStream(55), 2000))
+    argv = ["gof", "--data", str(data_path), "--seed", "8", "--canonical"]
+    outputs = []
+    for run in ("cold1", "cold2", "warm"):
+        if run != "warm":
+            gof_null.cache_clear()
+        hits = gof_null.cache_info().hits
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # gof_test misses on a cold run; the report's null block always hits
+        assert gof_null.cache_info().hits == hits + (2 if run == "warm" else 1)
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_gof_report_describes_the_null(tmp_path, capsys):
+    data = Logistic().sample(RngStream(56), 1500)
+    path = tmp_path / "data.txt"
+    np.savetxt(path, data)
+    code, out, _ = run_cli(capsys, "gof", "--data", str(path), "--seed", "3", "--canonical")
+    assert code == 0
+    report = json.loads(out)
+    null = gof_null(1500, 3, 2, GofConfig(seed=3))
+    quantiles = report["null"]["quantiles"]
+    assert list(quantiles) == ["0.5", "0.95", "0.99"]
+    assert [quantiles[q] for q in quantiles] == list(np.quantile(null, [0.5, 0.95, 0.99]))
+    p = report["result"]["p_value"]
+    assert report["null"]["p_value_mc_se"] == math.sqrt(p * (1.0 - p) / 200)
+    assert set(report["result"]) == {
+        "statistic", "p_value", "null_replicates", "identity_used", "sample_size", "seed",
+    }
+
+
+def test_cvm_reports_use_cvm_keys(capsys):
+    argv = ["verify", "--identity", "lemma1i:k=2,m=4,n=5", "--sample-size", "10000", "--canonical"]
+    code, out, _ = run_cli(capsys, *argv, "--statistic", "cvm")
+    assert code == 0
+    report = json.loads(out)
+    assert {"cvm_statistic", "cvm_p_value"} <= set(report["reports"][0])
+    assert "min_cvm_p_value" in report["family"]
+    assert "ks_" not in out
+    code, out, _ = run_cli(capsys, *argv, "--statistic", "cvm", "--format", "text")
+    assert " T=" in out and " D=" not in out
+    code, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert {"ks_statistic", "ks_p_value"} <= set(report["reports"][0])
+    assert "min_ks_p_value" in report["family"]
+    assert "cvm" not in out
+
+
+@pytest.mark.parametrize("bounds", [("--t-max", "inf"), ("--t-min", "nan"), ("--t-max", "1e308")])
+def test_cf_table_non_finite_grid_exits_two(capsys, bounds):
+    code, out, err = run_cli(capsys, "cf-table", "--n", "3", "--k", "2", *bounds)
     assert code == 2
     assert out == ""
     assert err.startswith("logshift: error:") and err.count("\n") == 1

@@ -17,6 +17,7 @@ from logshift import (
     RngStream,
     Uniform01,
     adjacent_functional_residual,
+    gof_null,
     gof_test,
     w_functional,
 )
@@ -161,12 +162,92 @@ class TestGofTest:
         with pytest.raises(DomainError):
             GofConfig(null_replicates=99)
         with pytest.raises(DomainError):
+            GofConfig(null_replicates=199.0)
+        with pytest.raises(DomainError):
             GofConfig(passes=0)
 
     def test_nonfinite_data_rejected(self):
         data = np.r_[Logistic().sample(RngStream(14), 500), np.nan]
         with pytest.raises(DomainError):
             gof_test(data, 3, 2)
+
+
+def _null_reference(size, n, k, config):
+    """The per-replicate loop gof_test ran inline before gof_null, sorted."""
+    root = RngStream(config.seed)
+    stats = []
+    for i in range(1, config.null_replicates + 1):
+        s = root.substream(i)
+        null_data = Logistic().sample(s.substream(0), size)
+        stats.append(
+            gof._reconstruction_statistic(
+                null_data, s.substream(1), n, k, config.passes, config.center
+            )
+        )
+    return np.sort(np.array(stats))
+
+
+class TestGofNull:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, k, center", [(3, 2, False), (5, 1, True)])
+    def test_equals_the_inline_loop(self, seed, n, k, center):
+        config = GofConfig(seed=seed, center=center)
+        got = gof_null(600, n, k, config)
+        assert np.array_equal(got, _null_reference(600, n, k, config))
+
+    def test_cold_and_warm_results_are_identical(self):
+        data = VARIANCE_MATCHED_NORMAL.sample(RngStream(15), 1000)
+        config = GofConfig(seed=21)
+        gof_null.cache_clear()
+        cold = gof_test(data, 3, 2, config)
+        assert gof_null.cache_info().misses == 1
+        warm = gof_test(data, 3, 2, config)
+        assert gof_null.cache_info().hits == 1
+        assert repr(warm.statistic) == repr(cold.statistic)
+        assert repr(warm.p_value) == repr(cold.p_value)
+
+    def test_p_value_counts_ties_as_exceedances(self):
+        # searchsorted(side="left") must count null statistics equal to the observed one
+        data = Logistic().sample(RngStream(16), 600)
+        config = GofConfig(seed=3)
+        result = gof_test(data, 3, 2, config)
+        null = gof_null(600, 3, 2, config)
+        exceed = int(np.sum(null >= result.statistic))
+        assert result.p_value == (1.0 + exceed) / (config.null_replicates + 1.0)
+
+    def test_every_config_field_keys_its_own_entry(self):
+        base = GofConfig(seed=1)
+        configs = [
+            base,
+            GofConfig(seed=1, passes=2),
+            GofConfig(seed=1, center=True),
+            GofConfig(seed=2),
+            GofConfig(seed=1, null_replicates=200),
+        ]
+        gof_null.cache_clear()
+        nulls = [gof_null(200, 3, 2, config) for config in configs]
+        info = gof_null.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (5, 0, 5)
+        assert gof_null(200, 3, 2, base) is nulls[0]
+        assert nulls[4].size == 200
+        for other in (nulls[1], nulls[3]):
+            assert not np.array_equal(other, nulls[0])
+
+    def test_result_is_sorted_and_read_only(self):
+        null = gof_null(200, 3, 2, GofConfig(seed=4))
+        assert np.all(np.diff(null) >= 0)
+        with pytest.raises(ValueError):
+            null[0] = 0.0
+        with pytest.raises(ValueError):
+            null.sort()
+
+    def test_validation_is_not_skipped_by_a_cached_entry(self):
+        data = Logistic().sample(RngStream(17), 200)
+        gof_test(data, 3, 2, GofConfig(seed=5))
+        with pytest.raises(DomainError):
+            gof_test(data, 3, 2.0, GofConfig(seed=5))
+        with pytest.raises(InsufficientDataError):
+            gof_null(50, 3, 2, GofConfig(seed=5))
 
 
 def _partition_reference(work, order, k):
