@@ -53,6 +53,7 @@ from .identities import (
     lemma1ii,
     maxexp,
     median,
+    mc_test,
     parse_identity,
     theorem1,
     verify,
@@ -104,6 +105,7 @@ __all__ = [
     "logistic_cf_grid",
     "logistic_order_stat_cf",
     "maxexp",
+    "mc_test",
     "median",
     "numerical_cf",
     "parse_distribution",

@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -278,9 +279,17 @@ def _cmd_cf_table(args) -> int:
 def _load_data(path: str, column: str | None) -> np.ndarray:
     if column is None:
         try:
-            return np.loadtxt(path, dtype=float, ndmin=1)
+            with warnings.catch_warnings():
+                # an empty file is refused by gof_test's size check instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(path, dtype=float, ndmin=1)
         except ValueError as exc:
             raise DomainError(f"could not parse {path!r}: {exc}") from exc
+        if data.ndim > 1:
+            raise DomainError(
+                f"{path!r} has {data.shape[1]} columns; choose one with --column"
+            )
+        return data
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:

@@ -2,11 +2,21 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from logshift import CFGrid, GofConfig, Logistic, Normal, RngStream, gof_null, logistic_order_stat_cf
+from logshift import (
+    CFGrid,
+    GofConfig,
+    Logistic,
+    Normal,
+    RngStream,
+    gof_null,
+    logistic_order_stat_cf,
+    mc_test,
+)
 from logshift.cli import main
 
 
@@ -183,6 +193,8 @@ def test_gof_reads_csv_column(tmp_path, capsys):
 def test_canonical_reports_are_byte_identical(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
+        # both runs draw: a warm memo would hand the second run the first's test
+        mc_test.cache_clear()
         code, _, _ = run_cli(
             capsys,
             "verify", "--identity", "lemma1ii:k=1,n=2",
@@ -285,6 +297,50 @@ def test_gof_cold_runs_match_a_warm_run(tmp_path, capsys):
         assert gof_null.cache_info().hits == hits + (2 if run == "warm" else 1)
         outputs.append(out.encode())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_verify_cold_runs_match_a_warm_run(tmp_path, capsys):
+    # criterion 9's verify call: its second run reuses the memoised tests, so
+    # the path that draws and tests is checked here against a cleared memo
+    argv = [
+        "verify", "--identity", "theorem1:r=2,k1=1,k2=3,n=6",
+        "--sample-size", "20000", "--seed", "314", "--canonical",
+    ]
+    outputs = []
+    for run in ("cold1", "cold2", "warm"):
+        if run != "warm":
+            mc_test.cache_clear()
+        before = mc_test.cache_info()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        after = mc_test.cache_info()
+        # two identities: both miss on a cold run and both hit on the warm one
+        expected = (0, 2) if run == "warm" else (2, 0)
+        assert (after.misses - before.misses, after.hits - before.hits) == expected
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_gof_two_columns_need_a_column_choice(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    np.savetxt(path, Logistic().sample(RngStream(57), 1000).reshape(500, 2))
+    code, out, err = run_cli(capsys, "gof", "--data", str(path), "--canonical")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("logshift: error:") and err.count("\n") == 1
+    assert "2 columns" in err and "--column" in err
+
+
+def test_gof_empty_file_writes_one_error_line(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    # a warning would reach stderr ahead of the error line outside pytest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "gof", "--data", str(path), "--canonical")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("logshift: error:") and err.count("\n") == 1
 
 
 def test_gof_report_describes_the_null(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Property tests of the CLI contract over generated selectors and argv.
+"""Property tests of the CLI contract over generated selectors, argv and data files.
 
 Whatever the input, ``main`` returns 0, 1 or 2, returns 2 exactly when it
 writes one ``logshift: error:`` line (and nothing else) to stderr, never lets
@@ -7,7 +7,11 @@ is always well formed for argparse, whose own usage errors are covered in
 test_cli.py.
 """
 
+import json
 import re
+import warnings
+
+import numpy as np
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -60,19 +64,68 @@ cf_table_argv = st.tuples(
 )
 
 
-@settings(
+SETTINGS = settings(
     max_examples=1000,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(st.one_of(verify_argv, verify_argv, catalog_argv, cf_table_argv))
-def test_exit_code_contract(capsys, argv):
-    code = main(argv)
-    out, err = capsys.readouterr()
+
+
+def check_contract(code, out, err):
     assert code in (0, 1, 2)
     error_lines = [line for line in err.splitlines() if line.startswith("logshift: error:")]
     assert (code == 2) == (len(error_lines) == 1 and err.count("\n") == 1), err
     assert "Traceback" not in err
     assert "nan" not in re.split(r"[\s,]+", out.lower())
+
+
+@SETTINGS
+@given(st.one_of(verify_argv, verify_argv, catalog_argv, cf_table_argv))
+def test_exit_code_contract(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    check_contract(code, out, err)
+
+
+@st.composite
+def gof_files(draw):
+    """A small data file: rows of logistic values, maybe a header, maybe one bad cell.
+
+    Returns the file's text, the --column argument (None for none) and the
+    number of data rows.
+    """
+    rows = draw(st.sampled_from([0, 1, 99, 100, 150]))
+    cols = draw(st.sampled_from([1, 2]))
+    sep = draw(st.sampled_from([" ", ","]))
+    values = np.random.default_rng(draw(st.integers(0, 3))).logistic(size=(rows, cols))
+    cells = [[repr(float(v)) for v in row] for row in values]
+    if rows and draw(st.booleans()):
+        row, col = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        cells[row][col] = draw(st.sampled_from(["nan", "inf", "abc"]))
+    lines = [sep.join(row) for row in cells]
+    if draw(st.booleans()):
+        lines.insert(0, sep.join("ab"[:cols]))
+    column = draw(st.sampled_from([None, "0", "1", "2", "-1", "a", "b", "z"]))
+    return "".join(line + "\n" for line in lines), column, rows
+
+
+@settings(SETTINGS, max_examples=300)
+@given(gof_files())
+def test_gof_exit_code_contract(capsys, tmp_path, case):
+    text, column, rows = case
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    argv = ["gof", "--data", str(path), "--seed", "0", "--canonical"]
+    if column is not None:
+        argv += ["--column", column]
+    # outside pytest a warning would reach stderr, so it counts as a failure here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    check_contract(code, out, err)
+    if code != 2:
+        # a report covers the values of exactly one column
+        assert json.loads(out)["result"]["sample_size"] == rows

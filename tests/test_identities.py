@@ -21,11 +21,13 @@ from logshift import (
     VerificationConfig,
     VerificationReport,
     catalog,
+    cvm_two_sample,
     ks_two_sample,
     lemma1i,
     lemma1ii,
     logistic_cf,
     maxexp,
+    mc_test,
     median,
     parse_identity,
     theorem1,
@@ -241,8 +243,11 @@ class TestVerify:
         assert report.ks_statistic <= 0.02
 
     def test_deterministic_reports(self):
+        # both runs draw: a warm memo would hand b the test a computed
         config = VerificationConfig(sample_size=20_000, seed=77)
+        mc_test.cache_clear()
         a = verify(median(3), config)
+        mc_test.cache_clear()
         b = verify(median(3), config)
         assert a == b
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
@@ -261,6 +266,8 @@ class TestVerify:
             VerificationConfig(t_min=3.0, t_max=-3.0)
         with pytest.raises(DomainError):
             VerificationConfig(statistic="anderson")
+        with pytest.raises(DomainError, match="integer"):
+            VerificationConfig(sample_size=20_000.0)
 
     def test_cvm_statistic_available(self):
         report = verify(
@@ -292,6 +299,128 @@ class TestVerify:
         with pytest.raises(DomainError):
             ShiftTerm(1, 1, kind="gamma")
 
+
+
+def sample_and_test(lhs, rhs, sample_size, seed, statistic):
+    """The Monte Carlo step as verify ran it before mc_test was split out."""
+    root = RngStream(seed)
+    lhs_draws = lhs.sample(root.substream(0), sample_size)
+    rhs_draws = rhs.sample(root.substream(1), sample_size)
+    test = ks_two_sample if statistic == "ks" else cvm_two_sample
+    return test(lhs_draws, rhs_draws)
+
+
+def with_first_rhs_term(spec, **changes):
+    """``spec``'s sides with one field of the rhs's first shift term changed."""
+    first = spec.rhs.shifts[0]
+    term = ShiftTerm(**{"sign": first.sign, "weight": first.weight, "kind": first.kind, **changes})
+    return spec.lhs, ShiftExpression(spec.rhs.base, (term,) + spec.rhs.shifts[1:])
+
+
+def with_rhs_base_rank(spec, k):
+    base = spec.rhs.base
+    return spec.lhs, ShiftExpression(OrderStatistic(base.parent, base.n, k), spec.rhs.shifts)
+
+
+class TestMcTest:
+    """The memoised Monte Carlo step: it must key on everything the draws use."""
+
+    BASE = lemma1i(2, 4, 5)
+    N = 10_000
+
+    def _misses_and_hits(self):
+        info = mc_test.cache_info()
+        return info.misses, info.hits
+
+    @pytest.mark.parametrize("statistic", ["ks", "cvm"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_unmemoised_step(self, seed, statistic):
+        mc_test.cache_clear()
+        got = mc_test(self.BASE.lhs, self.BASE.rhs, self.N, seed, statistic)
+        want = sample_and_test(self.BASE.lhs, self.BASE.rhs, self.N, seed, statistic)
+        assert (repr(got.statistic), repr(got.pvalue)) == (repr(want.statistic), repr(want.pvalue))
+
+    def test_single_term_mutants_miss(self):
+        spec = self.BASE
+        dropped = (spec.lhs, ShiftExpression(spec.rhs.base, spec.rhs.shifts[:-1]))
+        shifted = lemma1i(2, 4, 5, Logistic(0.5))
+        mutants = {
+            "drop a term": dropped,
+            "flip a sign": with_first_rhs_term(spec, sign=-1),
+            "weight + 1": with_first_rhs_term(spec, weight=spec.rhs.shifts[0].weight + 1),
+            "weight - 1": with_first_rhs_term(spec, weight=spec.rhs.shifts[0].weight - 1),
+            "base rank + 1": with_rhs_base_rank(spec, spec.rhs.base.k + 1),
+            "base rank - 1": with_rhs_base_rank(spec, spec.rhs.base.k - 1),
+            "laplace kind": with_first_rhs_term(spec, kind="laplace"),
+            "logistic,mu=0.5": (shifted.lhs, shifted.rhs),
+        }
+        mc_test.cache_clear()
+        original = mc_test(spec.lhs, spec.rhs, self.N, 0, "ks")
+        for name, (lhs, rhs) in mutants.items():
+            misses, hits = self._misses_and_hits()
+            got = mc_test(lhs, rhs, self.N, 0, "ks")
+            assert self._misses_and_hits() == (misses + 1, hits), name
+            want = sample_and_test(lhs, rhs, self.N, 0, "ks")
+            assert (got.statistic, got.pvalue) == (want.statistic, want.pvalue), name
+        # a freshly built copy of the original is the same key
+        misses, hits = self._misses_and_hits()
+        mc_test(lemma1i(2, 4, 5).lhs, lemma1i(2, 4, 5).rhs, self.N, 0, "ks")
+        assert self._misses_and_hits() == (misses, hits + 1)
+        wrong = IdentitySpec("lemma1i", "wrong", *dropped, n=5, k=2, m=4)
+        report = verify(wrong, VerificationConfig(sample_size=self.N, seed=0))
+        assert report.verdict == "rejected"
+        assert report.ks_statistic != original.statistic
+
+    @pytest.mark.parametrize(
+        "changes", [{"statistic": "cvm"}, {"seed": 1}, {"sample_size": 10_001}]
+    )
+    def test_statistic_seed_and_size_each_miss(self, changes):
+        base = {"sample_size": self.N, "seed": 0, "statistic": "ks"}
+        mc_test.cache_clear()
+        verify(self.BASE, VerificationConfig(**base))
+        verify(self.BASE, VerificationConfig(**{**base, **changes}))
+        assert self._misses_and_hits() == (2, 0)
+
+    def test_alpha_grid_and_threshold_hit_and_recompute_the_verdict(self):
+        mc_test.cache_clear()
+        base = verify(self.BASE, VerificationConfig(sample_size=self.N, seed=0))
+        assert base.verdict == "consistent"
+        p = base.ks_p_value
+        assert p < 1.0
+        # alpha above the cached p-value: the Monte Carlo route now fails
+        high_alpha = verify(self.BASE, VerificationConfig(sample_size=self.N, seed=0, alpha=(1 + p) / 2))
+        assert high_alpha.verdict == "inconclusive"
+        # a threshold below the float CF gap: the exact route now fails
+        tight = verify(
+            self.BASE,
+            VerificationConfig(sample_size=self.N, seed=0, cf_threshold=base.cf_max_abs_diff / 2),
+        )
+        assert tight.verdict == "inconclusive"
+        coarse = verify(self.BASE, VerificationConfig(sample_size=self.N, seed=0, t_points=5))
+        grid = np.linspace(-5.0, 5.0, 5)
+        gap = np.max(np.abs(self.BASE.lhs.cf(grid) - self.BASE.rhs.cf(grid)))
+        assert coarse.cf_max_abs_diff == float(gap) != base.cf_max_abs_diff
+        assert coarse.verdict == "consistent"
+        assert self._misses_and_hits() == (1, 3)
+        for report in (high_alpha, tight, coarse):
+            assert (report.ks_statistic, report.ks_p_value) == (base.ks_statistic, p)
+
+    def test_theorem1_shares_the_lemma1i_entry(self):
+        config = VerificationConfig(sample_size=self.N, seed=3)
+        mc_test.cache_clear()
+        a = verify(theorem1(1, 2, 5), config)
+        b = verify(lemma1i(2, 3, 5), config)
+        assert self._misses_and_hits() == (1, 1)
+        assert (repr(a.ks_statistic), repr(a.ks_p_value)) == (repr(b.ks_statistic), repr(b.ks_p_value))
+        assert a.identity.label != b.identity.label
+
+    def test_validation_is_not_skipped_by_a_cached_entry(self):
+        mc_test.cache_clear()
+        mc_test(self.BASE.lhs, self.BASE.rhs, self.N, 0, "ks")
+        with pytest.raises(DomainError, match="integer"):
+            mc_test(self.BASE.lhs, self.BASE.rhs, float(self.N), 0, "ks")
+        with pytest.raises(DomainError, match="statistic"):
+            mc_test(self.BASE.lhs, self.BASE.rhs, self.N, 0, "anderson")
 
 
 # (exact route ok, Monte Carlo route ok, verdict); None means no exact route
